@@ -1,25 +1,29 @@
-"""Bounded LRU cache for distance rows (and other per-key payloads).
+"""Cached distance-row answering: the one path every row query takes.
 
-The seed oracle kept its per-source distance rows in a plain dict and, on
-reaching the bound, evicted by wholesale ``clear()`` — so steady-state
-query traffic with more than ``capacity`` distinct sources periodically
-dropped *every* hot row and thrashed back to full Dijkstra runs
-(``query_many`` additionally stopped caching altogether once full).  This
-module is the shared fix: one recency-ordered bounded cache used by the
-:class:`~repro.distances.oracle.SpannerDistanceOracle` and the
-:class:`~repro.service.engine.QueryEngine`, with hit/miss/eviction
-counters so serving layers can report cache effectiveness.
+The paper's APSP scheme (Section 7) answers every query on one machine
+with Dijkstra rows over a collected spanner.  :class:`CachedRows` is that
+step, written once: a bounded :class:`LRURowCache` of per-source rows,
+grouping of a pair batch by source, *one* ``solve_rows`` call for the
+distinct missing sources, and a gather per group.  The
+:class:`~repro.distances.oracle.SpannerDistanceOracle`, the serving
+:class:`~repro.service.provider.RowProvider` (and through it
+:class:`~repro.service.engine.QueryEngine`) all answer rows through it;
+they differ only in the ``solve_rows`` they hand in (in-process
+``batched_sssp`` or the engine's sharded solver).
 
 ``dict`` preserves insertion order and ``move_to_end``-style reordering is
 done by delete+reinsert, so no ``OrderedDict`` import is needed; all
-operations are O(1).
+cache operations are O(1).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["LRURowCache", "answer_pairs_cached"]
+__all__ = ["CachedRows", "LRURowCache", "cache_stats", "check_pairs", "group_by_source"]
+
+#: Default bound on cached per-source distance rows.
+DEFAULT_CACHE_ROWS = 4096
 
 
 class LRURowCache:
@@ -96,49 +100,95 @@ class LRURowCache:
 
     def stats(self) -> dict:
         """Counters for serving-layer reporting (JSON-ready)."""
-        total = self.hits + self.misses
-        return {
-            "capacity": self.capacity,
-            "entries": len(self._data),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hits / total, 4) if total else 0.0,
-        }
+        return cache_stats([self])
 
 
-def answer_pairs_cached(cache: LRURowCache, pairs: np.ndarray, solve_rows) -> np.ndarray:
-    """Batched pair answering over a per-source row cache.
+def cache_stats(caches) -> dict:
+    """Summed counters of one or more :class:`LRURowCache` (JSON-ready)."""
+    hits = sum(c.hits for c in caches)
+    misses = sum(c.misses for c in caches)
+    return {
+        "capacity": sum(c.capacity for c in caches),
+        "entries": sum(len(c) for c in caches),
+        "hits": hits,
+        "misses": misses,
+        "evictions": sum(c.evictions for c in caches),
+        "hit_rate": round(hits / (hits + misses), 4) if hits + misses else 0.0,
+    }
 
-    The shared ``query_many`` planning of the oracle and the serving
-    engine: group the ``(r, 2)`` pairs by source, gather rows already
-    cached, hand the distinct *missing* sources to ``solve_rows(sources)
-    -> (len(sources), n)`` in one call, and gather per group.  Two
-    invariants live here exactly once: local references are held for every
-    row the call touches (LRU eviction triggered by the fresh rows must
-    not drop one mid-call), and cached rows are *copies*, never views
-    into the solver's dense batch buffer (a view would pin the whole
-    block for as long as the row survives in the cache).
+
+def check_pairs(pairs, n: int) -> np.ndarray:
+    """``pairs`` as an ``(r, 2)`` int64 array with every vertex in ``[0, n)``."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValueError("vertex out of range")
+    return pairs
+
+
+def group_by_source(pairs: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
+    """The distinct sources of an ``(r, 2)`` pair array, ascending, and
+    for each the ascending indices of its pairs."""
+    order = np.argsort(pairs[:, 0], kind="stable")
+    src = pairs[order, 0]
+    cuts = np.flatnonzero(src[1:] != src[:-1]) + 1
+    starts = np.concatenate(([0], cuts))
+    return src[starts].tolist(), np.split(order, cuts)
+
+
+class CachedRows:
+    """Pair and row answering over an LRU cache of per-source distance rows.
+
+    ``solve_rows(sources) -> (len(sources), n)`` computes rows for cache
+    misses; :meth:`query_many` hands it the distinct missing sources of a
+    batch in *one* call.  Two invariants live here exactly once: local
+    references are held for every row a call touches (LRU eviction
+    triggered by the fresh rows must not drop one mid-call), and cached
+    rows are *copies*, never views into the solver's dense batch buffer
+    (a view would pin the whole block for as long as the row survives in
+    the cache).
     """
-    sources, inv = np.unique(pairs[:, 0], return_inverse=True)
-    row_map = {}
-    missing = []
-    for s in sources.tolist():
-        row = cache.get(s)
+
+    def __init__(self, n: int, solve_rows, capacity: int = DEFAULT_CACHE_ROWS) -> None:
+        self.n = int(n)
+        self.solve_rows = solve_rows
+        self.cache = LRURowCache(capacity)
+        self.rows_solved = 0
+
+    def _solve(self, sources: list) -> np.ndarray:
+        self.rows_solved += len(sources)
+        return self.solve_rows(np.asarray(sources, dtype=np.int64))
+
+    def row(self, source: int) -> np.ndarray:
+        """Distances from ``source`` to every vertex (cached)."""
+        if not 0 <= source < self.n:
+            raise ValueError(f"source {source} out of range")
+        row = self.cache.get(source)
         if row is None:
-            missing.append(s)
-        else:
-            row_map[s] = row
-    if missing:
-        rows = solve_rows(np.asarray(missing, dtype=np.int64))
-        for j, s in enumerate(missing):
-            row = rows[j].copy()
-            row_map[s] = row
-            cache.put(s, row)
-    out = np.empty(pairs.shape[0])
-    order = np.argsort(inv, kind="stable")
-    bounds = np.searchsorted(inv[order], np.arange(sources.size + 1))
-    for j, s in enumerate(sources.tolist()):
-        idx = order[bounds[j] : bounds[j + 1]]
-        out[idx] = row_map[s][pairs[idx, 1]]
-    return out
+            row = self._solve([source])[0].copy()
+            self.cache.put(source, row)
+        return row
+
+    def query(self, u: int, v: int) -> float:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
+        return float(self.row(u)[v])
+
+    def query_many(self, pairs) -> np.ndarray:
+        """Answers for an ``(r, 2)`` pair array, one batched solve for the
+        distinct sources missing from the cache."""
+        pairs = check_pairs(pairs, self.n)
+        if not pairs.size:
+            return np.zeros(0)
+        sources, groups = group_by_source(pairs)
+        rows = [self.cache.get(s) for s in sources]
+        missing = [s for s, row in zip(sources, rows) if row is None]
+        if missing:
+            fresh = iter(self._solve(missing))
+            for j, s in enumerate(sources):
+                if rows[j] is None:
+                    rows[j] = next(fresh).copy()
+                    self.cache.put(s, rows[j])
+        out = np.empty(pairs.shape[0])
+        for row, idx in zip(rows, groups):
+            out[idx] = row[pairs[idx, 1]]
+        return out

@@ -4,7 +4,8 @@ The paper's APSP scheme is: build a near-linear-size spanner (``k = log n``,
 ``t = log log n`` ⇒ size ``O(n log log n)``, stretch ``log^{1+o(1)} n``),
 ship it to one machine, and answer every distance query locally on the
 spanner.  :class:`SpannerDistanceOracle` is that "one machine": it holds the
-spanner and answers queries with Dijkstra runs (cached per source).
+spanner and answers rows, single pairs and pair batches through one
+:class:`~repro.core.cache.CachedRows` over ``batched_sssp`` on the spanner.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from ..core import membudget
-from ..core.cache import LRURowCache, answer_pairs_cached
+from ..core.cache import DEFAULT_CACHE_ROWS, CachedRows
 from ..core.general_tradeoff import general_tradeoff
 from ..core.params import apsp_parameters, coerce_rng, stretch_bound
 from ..core.results import SpannerResult
-from ..graphs.distances import batched_sssp, pairwise_distances
+from ..graphs.distances import apsp, batched_sssp, pairwise_distances
 from ..graphs.graph import WeightedGraph
 
 __all__ = ["SpannerDistanceOracle", "ApproximationReport", "measure_approximation"]
@@ -54,8 +54,7 @@ class SpannerDistanceOracle:
     cache_rows:
         Bound on the per-source distance-row cache.  Rows are evicted
         least-recently-used (see :class:`~repro.core.cache.LRURowCache`),
-        so hot sources survive arbitrarily many distinct cold sources —
-        the seed's wholesale ``clear()`` eviction is gone.
+        so hot sources survive arbitrarily many distinct cold sources.
 
     Examples
     --------
@@ -66,9 +65,6 @@ class SpannerDistanceOracle:
     >>> oracle.spanner.m <= g.m
     True
     """
-
-    #: Default bound on cached per-source distance rows.
-    DEFAULT_CACHE_ROWS = 4096
 
     def __init__(
         self,
@@ -83,14 +79,10 @@ class SpannerDistanceOracle:
             dk, dt = apsp_parameters(g.n)
             k = k if k is not None else dk
             t = t if t is not None else dt
-        self.g = g
-        self.k = k
-        self.t = t
-        self.result: SpannerResult | None = general_tradeoff(g, k, t, rng=rng)
-        self.t_effective: int = self.result.extra.get("t_effective", t)
-        self.spanner: WeightedGraph = self.result.subgraph(g)
-        self._matrix = self.spanner.to_scipy() if self.spanner.m else None
-        self._cache = LRURowCache(cache_rows)
+        result = general_tradeoff(g, k, t, rng=rng)
+        self._serve(g, k, t, result.subgraph(g), cache_rows)
+        self.result: SpannerResult | None = result
+        self.t_effective: int = result.extra.get("t_effective", t)
 
     @classmethod
     def from_spanner(
@@ -113,15 +105,19 @@ class SpannerDistanceOracle:
         ``result`` instrumentation is ``None`` on reloaded oracles.
         """
         self = cls.__new__(cls)
-        self.g = g if g is not None else spanner
-        self.k = k
-        self.t = t
+        self._serve(g if g is not None else spanner, k, t, spanner, cache_rows)
         self.result = None
         self.t_effective = t_effective if t_effective is not None else t
-        self.spanner = spanner
-        self._matrix = spanner.to_scipy() if spanner.m else None
-        self._cache = LRURowCache(cache_rows)
         return self
+
+    def _serve(self, g, k, t, spanner: WeightedGraph, cache_rows: int) -> None:
+        self.g = g
+        self.k = k
+        self.t = t
+        self.spanner = spanner
+        self.rows = CachedRows(
+            g.n, lambda sources: batched_sssp(self.spanner, sources), cache_rows
+        )
 
     @property
     def guaranteed_stretch(self) -> float:
@@ -131,49 +127,24 @@ class SpannerDistanceOracle:
     @property
     def cache_stats(self) -> dict:
         """Row-cache effectiveness counters (hits/misses/evictions)."""
-        return self._cache.stats()
-
-    def _solve_row(self, source: int) -> np.ndarray:
-        if self._matrix is None:
-            d = np.full(self.g.n, np.inf)
-            d[source] = 0.0
-            return d
-        return csgraph.dijkstra(self._matrix, directed=False, indices=source)
+        return self.rows.cache.stats()
 
     def distances_from(self, source: int) -> np.ndarray:
         """Approximate distances from ``source`` to all vertices."""
-        if not 0 <= source < self.g.n:
-            raise ValueError(f"source {source} out of range")
-        row = self._cache.get(source)
-        if row is None:
-            row = self._solve_row(source)
-            self._cache.put(source, row)
-        return row
+        return self.rows.row(source)
 
     def query(self, u: int, v: int) -> float:
         """Approximate distance between ``u`` and ``v``."""
-        if not 0 <= v < self.g.n:
-            raise ValueError(f"vertex {v} out of range")
-        return float(self.distances_from(u)[v])
+        return self.rows.query(u, v)
 
     def query_many(self, pairs) -> np.ndarray:
         """Vectorized :meth:`query` over an ``(r, 2)`` pair array.
 
         Sources missing from the row cache are solved with *one* batched
-        Dijkstra on the spanner instead of a Python loop of single-source
-        runs; the rows land in the cache for later single queries.
+        Dijkstra on the spanner; the rows land in the cache for later
+        single queries.
         """
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.size == 0:
-            return np.zeros(0)
-        if pairs.min() < 0 or pairs.max() >= self.g.n:
-            raise ValueError("vertex out of range")
-        # The grouped planning (one batched solve over the distinct missing
-        # sources, every row cached under the LRU bound) is shared with the
-        # serving engine — it lives next to the cache itself.
-        return answer_pairs_cached(
-            self._cache, pairs, lambda missing: batched_sssp(self.spanner, missing)
-        )
+        return self.rows.query_many(pairs)
 
     def all_pairs(self, *, allow_dense: bool = False) -> np.ndarray:
         """Full approximate APSP matrix (``O(n^2)`` memory).
@@ -196,11 +167,7 @@ class SpannerDistanceOracle:
                 "for bounded-memory answers."
             )
         membudget.note("distances.oracle.all_pairs", need)
-        if self._matrix is None:
-            d = np.full((self.g.n, self.g.n), np.inf)
-            np.fill_diagonal(d, 0.0)
-            return d
-        return csgraph.dijkstra(self._matrix, directed=False)
+        return apsp(self.spanner)
 
 
 def measure_approximation(

@@ -1,32 +1,32 @@
-"""The serving-side query engine: cache, batch, shard.
+"""The serving-side query engine: one planned path, batched and sharded.
 
 :class:`QueryEngine` answers approximate-distance queries on a *built*
-structure — a spanner graph (optionally via a
-:class:`~repro.distances.oracle.SpannerDistanceOracle`) or a
-:class:`~repro.distances.sketches.DistanceSketch` — and owns the three
-serving concerns the build-side objects should not:
+structure — a spanner graph, a
+:class:`~repro.distances.oracle.SpannerDistanceOracle`, a
+:class:`~repro.distances.sketches.DistanceSketch`, or a
+:class:`~repro.service.provider.ProviderBundle` holding all three paths.
+Every backend is served the same way: the engine wraps a
+:class:`~repro.service.provider.PlannedProvider`, and a single-backend
+artifact is a one-provider plan (a graph or oracle becomes a
+:class:`~repro.service.provider.RowProvider`, a sketch a
+:class:`~repro.service.provider.SketchProvider`).  Row providers answer
+through :class:`~repro.core.cache.CachedRows` — a bounded LRU of
+per-source rows, pairs grouped by source, *one* row solve per batch for
+the distinct missing sources — with the engine's :meth:`_solve_rows` as
+their solver.
 
-* **Caching** — per-source Dijkstra rows live in a bounded
-  :class:`~repro.core.cache.LRURowCache`, so steady-state traffic with a
-  hot source set never recomputes hot rows (the seed's ``clear()``
-  eviction thrash, fixed for both :meth:`query` and :meth:`query_many`).
-* **Batched planning** — :meth:`query_many` groups pending pairs by
-  source and dispatches *one* ``batched_sssp`` over the distinct missing
-  sources, instead of a Dijkstra per pair.
-* **Sharding** — with ``shards >= 2``, missing sources are partitioned
-  across a persistent ``ProcessPoolExecutor``.  All workers *and* the
-  parent read **one** physical copy of the spanner: the edge arrays and
-  the scipy CSR live in a :class:`~repro.service.shm.SharedGraphBuffers`
-  shared-memory segment, workers attach by name in the pool initializer
-  and rebuild a zero-copy graph over the views.  Worker memory is
-  therefore O(graph + ε) total, not O(shards × graph).  Rows come back to
-  the parent's cache, so sharded and serial engines answer bit-identically
-  — Dijkstra runs are independent per source.  :meth:`close` (or
-  interpreter exit, via an atexit hook) unlinks the segment.
-
-Sketch backends answer through the O(k) bidirectional pivot walk, which
-is already vectorized and needs neither rows nor shards; the engine is a
-uniform front end over both.
+That solver is where **sharding** lives: with ``shards >= 2``, missing
+sources are partitioned across a persistent ``ProcessPoolExecutor``.
+All workers *and* the parent read **one** physical copy of the spanner:
+the edge arrays and the scipy CSR live in a
+:class:`~repro.service.shm.SharedGraphBuffers` shared-memory segment,
+workers attach by name in the pool initializer and rebuild a zero-copy
+graph over the views.  Worker memory is therefore O(graph + ε) total,
+not O(shards × graph).  Rows come back to the parent's cache, so sharded
+and serial engines answer bit-identically — Dijkstra runs are
+independent per source.  :meth:`close` (or interpreter exit, via an
+atexit hook) unlinks the segment.  Exact rows on a bundle's full input
+graph always solve in-process; the shared segment holds the spanner.
 """
 
 from __future__ import annotations
@@ -38,13 +38,20 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from ..core import membudget
-from ..core.cache import LRURowCache, answer_pairs_cached
+from ..core.cache import DEFAULT_CACHE_ROWS, cache_stats, check_pairs
 from ..distances.oracle import SpannerDistanceOracle
 from ..distances.sketches import DistanceSketch
 from ..graphs.distances import batched_sssp
 from ..graphs.graph import WeightedGraph
 from .mem import process_memory
-from .provider import PlannedProvider, PlanTarget, ProviderBundle, build_providers
+from .provider import (
+    PlannedProvider,
+    PlanTarget,
+    ProviderBundle,
+    RowProvider,
+    SketchProvider,
+    build_providers,
+)
 from .shm import SharedGraphBuffers
 
 __all__ = ["QueryEngine"]
@@ -78,10 +85,10 @@ class QueryEngine:
     ----------
     backend:
         A :class:`WeightedGraph` (the spanner queries run on), a built
-        :class:`SpannerDistanceOracle` (its spanner is used), or a
-        :class:`DistanceSketch`.
+        :class:`SpannerDistanceOracle` (its spanner is used), a
+        :class:`DistanceSketch`, or a :class:`ProviderBundle`.
     cache_rows:
-        LRU bound on cached per-source distance rows (row backends only).
+        LRU bound on cached per-source distance rows, per row provider.
     shards:
         ``0``/``1`` solves missing rows in-process; ``>= 2`` partitions
         them across that many worker processes.  Workers start lazily on
@@ -101,47 +108,36 @@ class QueryEngine:
         self,
         backend,
         *,
-        cache_rows: int = SpannerDistanceOracle.DEFAULT_CACHE_ROWS,
+        cache_rows: int = DEFAULT_CACHE_ROWS,
         shards: int = 0,
         meta: dict | None = None,
         target: PlanTarget | None = None,
     ) -> None:
-        self.sketch: DistanceSketch | None = None
-        self.planner: PlannedProvider | None = None
         if isinstance(backend, ProviderBundle):
-            # Multi-backend serving: the planner routes between the exact,
-            # oracle, sketch and tiered providers.  The engine's (possibly
-            # sharded, shared-memory) row solver is handed to the *oracle*
-            # provider — the spanner is what the shm segment holds; exact
-            # rows on the full input graph always solve in-process.
+            # The engine's (possibly sharded, shared-memory) row solver is
+            # handed to the *oracle* provider — the spanner is what the shm
+            # segment holds.
             self.graph = backend.spanner
             providers = build_providers(
                 backend, cache_rows=cache_rows, oracle_solve_rows=self._solve_rows
             )
-            self.planner = PlannedProvider(providers, target)
-        elif isinstance(backend, DistanceSketch):
-            self.sketch = backend
-            self.graph = backend.g
-        elif isinstance(backend, SpannerDistanceOracle):
-            self.graph = backend.spanner
-        elif isinstance(backend, WeightedGraph):
-            self.graph = backend
+            self.kind = "planned"
         else:
-            raise TypeError(
-                f"backend must be a WeightedGraph, SpannerDistanceOracle, "
-                f"DistanceSketch or ProviderBundle, got {type(backend).__name__}"
-            )
-        if target is not None and self.planner is None:
-            raise ValueError(
-                "a plan target needs a ProviderBundle backend (persist the "
-                "artifact with kind='bundle' to serve all backends)"
-            )
+            if target is not None:
+                raise ValueError(
+                    "a plan target needs a ProviderBundle backend (persist the "
+                    "artifact with kind='bundle' to serve all backends)"
+                )
+            provider = self._single_provider(backend, cache_rows)
+            providers = {provider.name: provider}
+            target = PlanTarget(backend=provider.name)
+            self.kind = provider.cost_model()["kind"]
+        self.planner = PlannedProvider(providers, target)
         if shards < 0:
             raise ValueError("shards must be >= 0")
         self.n = self.graph.n
         self.shards = int(shards)
         self.meta = dict(meta or {})
-        self._cache = LRURowCache(cache_rows)
         self._pool: ProcessPoolExecutor | None = None
         self._shared: SharedGraphBuffers | None = None
         self.queries_served = 0
@@ -167,7 +163,7 @@ class QueryEngine:
         store,
         key: str,
         *,
-        cache_rows: int = SpannerDistanceOracle.DEFAULT_CACHE_ROWS,
+        cache_rows: int = DEFAULT_CACHE_ROWS,
         shards: int = 0,
         mmap: bool = True,
         target: PlanTarget | None = None,
@@ -191,8 +187,29 @@ class QueryEngine:
             backend, cache_rows=cache_rows, shards=shards, meta=meta, target=target
         )
 
+    def _single_provider(self, backend, cache_rows: int):
+        """The one provider a non-bundle backend is served by."""
+        if isinstance(backend, DistanceSketch):
+            self.graph = backend.g
+            return SketchProvider(backend)
+        if isinstance(backend, SpannerDistanceOracle):
+            name, stretch = "oracle", backend.guaranteed_stretch
+            self.graph = backend.spanner
+        elif isinstance(backend, WeightedGraph):
+            # Exact distances on the graph it is given.
+            name, stretch, self.graph = "rows", 1.0, backend
+        else:
+            raise TypeError(
+                f"backend must be a WeightedGraph, SpannerDistanceOracle, "
+                f"DistanceSketch or ProviderBundle, got {type(backend).__name__}"
+            )
+        return RowProvider(
+            name, self.graph, stretch=stretch, cache_rows=cache_rows,
+            solve_rows=self._solve_rows,
+        )
+
     # ------------------------------------------------------------------
-    # Row solving (cache + shards)
+    # Row solving (shards)
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -228,27 +245,20 @@ class QueryEngine:
         finally:
             self.solve_wall_s += time.perf_counter() - start
 
-    def _row(self, source: int) -> np.ndarray:
-        row = self._cache.get(source)
-        if row is None:
-            row = self._solve_rows(np.asarray([source], dtype=np.int64))[0].copy()
-            self._cache.put(source, row)
-        return row
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def backends(self) -> tuple[str, ...]:
         """Names a per-query ``backend`` override may use (empty for
         single-backend engines)."""
-        if self.planner is None:
+        if self.kind != "planned":
             return ()
         return tuple(sorted(self.planner.providers))
 
     def _check_backend(self, backend: str | None) -> None:
         if backend is None:
             return
-        if self.planner is None:
+        if self.kind != "planned":
             raise ValueError(
                 "this engine serves a single fixed backend; load a 'bundle' "
                 "artifact to route per-query backends"
@@ -268,44 +278,28 @@ class QueryEngine:
             raise ValueError("vertex out of range")
         self._check_backend(backend)
         self.queries_served += 1
-        if self.planner is not None:
-            return self.planner.query(u, v, backend=backend)
-        if self.sketch is not None:
-            return self.sketch.query(u, v)
-        return float(self._row(u)[v])
+        return self.planner.query(u, v, backend=backend)
 
     def query_many(self, pairs, *, backend: str | None = None) -> np.ndarray:
         """Batched :meth:`query` over an ``(r, 2)`` pair array.
 
-        Row backends plan the batch: pairs are grouped by source, rows
-        already cached are gathered immediately, and the distinct missing
-        sources go to *one* ``batched_sssp`` dispatch (sharded across the
-        worker pool when configured), landing in the cache for later
-        single queries.  Bundle-backed engines route the whole batch
-        through the planner; ``backend`` pins it to one fixed backend.
+        The planner routes the whole batch to one provider; ``backend``
+        pins it to one fixed backend (bundle-backed engines only).  Row
+        providers group the pairs by source, gather cached rows, and send
+        the distinct missing sources to *one* :meth:`_solve_rows` call
+        (sharded across the worker pool when configured), caching them
+        for later single queries.
         """
-        pairs = np.asarray(pairs, dtype=np.int64)
         self._check_backend(backend)
-        if pairs.size == 0:
+        pairs = check_pairs(pairs, self.n)
+        if not pairs.size:
             return np.zeros(0)
-        pairs = pairs.reshape(-1, 2)
-        if pairs.min() < 0 or pairs.max() >= self.n:
-            raise ValueError("vertex out of range")
         self.queries_served += pairs.shape[0]
         self.batches += 1
         start = time.perf_counter()
         rows_before = self.rows_solved
         solve_before = self.solve_wall_s
-        if self.planner is not None:
-            out = self.planner.query_many(pairs, backend=backend)
-        elif self.sketch is not None:
-            out = self.sketch.query_many(pairs)
-        else:
-            # Shared planning with the oracle (repro.core.cache): one
-            # _solve_rows dispatch over the distinct missing sources —
-            # sharded across the worker pool when configured — with every
-            # row cached.
-            out = answer_pairs_cached(self._cache, pairs, self._solve_rows)
+        out = self.planner.query_many(pairs, backend=backend)
         wall = time.perf_counter() - start
         npairs = int(pairs.shape[0])
         self.query_many_wall_s += wall
@@ -328,42 +322,26 @@ class QueryEngine:
         """Serving counters plus row-cache effectiveness (JSON-ready).
 
         The ``timing`` and ``batch_sizes`` keys are the cumulative
-        latency/batch accounting the socket server's SLO report reads;
-        every pre-existing key is unchanged.  Bundle-backed engines report
-        ``backend="planned"`` plus a ``planner`` key with per-backend
-        counters, and aggregate the row providers' caches under ``cache``.
+        latency/batch accounting the socket server's SLO report reads.
+        ``backend`` is ``"rows"``, ``"sketch"`` or (bundle-backed engines)
+        ``"planned"``; only the latter add a ``planner`` key with
+        per-backend counters.  ``cache`` sums the row providers' caches.
         """
-        if self.planner is not None:
-            backend_name = "planned"
-            # The engine's own cache is idle in planner mode — the row
-            # providers keep their own.  Aggregate them so dashboards and
-            # the CLI hit-rate line keep one place to look.
-            caches = [
-                p.cache.stats()
-                for p in self.planner.providers.values()
-                if hasattr(p, "cache")
-            ]
-            cache_stats = {
-                key: sum(c[key] for c in caches)
-                for key in ("capacity", "entries", "hits", "misses", "evictions")
-            }
-            total = cache_stats["hits"] + cache_stats["misses"]
-            cache_stats["hit_rate"] = (
-                round(cache_stats["hits"] / total, 4) if total else 0.0
-            )
-        else:
-            backend_name = "sketch" if self.sketch is not None else "rows"
-            cache_stats = self._cache.stats()
+        caches = [
+            p.rows.cache
+            for p in self.planner.providers.values()
+            if isinstance(p, RowProvider)
+        ]
         return {
-            "backend": backend_name,
+            "backend": self.kind,
             "n": self.n,
             "m": self.graph.m,
             "shards": self.shards,
             "queries_served": self.queries_served,
             "batches": self.batches,
             "rows_solved": self.rows_solved,
-            "cache": cache_stats,
-            **({"planner": self.planner.stats()} if self.planner is not None else {}),
+            "cache": cache_stats(caches),
+            **({"planner": self.planner.stats()} if self.kind == "planned" else {}),
             "timing": {
                 "query_many_wall_s": round(self.query_many_wall_s, 6),
                 "solve_wall_s": round(self.solve_wall_s, 6),

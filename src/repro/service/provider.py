@@ -14,11 +14,14 @@ profiles:
   (:class:`~repro.distances.sketches.DistanceSketch`): stretch
   ``2k - 1``, ``O(k)`` per query, no rows at all.
 
-Before this module, callers hand-picked one path and the serving layer
-hard-coded the oracle.  Here every path implements one small protocol —
-``query`` / ``query_many`` / ``cost_model`` / ``stretch_bound`` — and
-:class:`PlannedProvider` routes each batch from a declarative
-:class:`PlanTarget`:
+Every path implements one small protocol — ``query`` / ``query_many`` /
+``cost_model`` / ``stretch_bound`` — and the two row paths are the same
+:class:`RowProvider`: timing around one
+:class:`~repro.core.cache.CachedRows`, the row answerer the oracle uses
+too.  :class:`PlannedProvider` routes each batch from a declarative
+:class:`PlanTarget`, and :class:`~repro.service.engine.QueryEngine`
+always answers through one — a single-backend engine is a one-provider
+plan:
 
 * ``backend="exact" | "oracle" | "sketch" | "tiered"`` — fixed routing;
 * ``backend="auto"`` — pick the cheapest backend (by observed per-query
@@ -49,9 +52,8 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..core.cache import LRURowCache, answer_pairs_cached
+from ..core.cache import DEFAULT_CACHE_ROWS, CachedRows, group_by_source
 from ..core.params import stretch_bound as general_stretch_bound
-from ..distances.oracle import SpannerDistanceOracle
 from ..distances.sketches import DistanceSketch
 from ..graphs.distances import batched_sssp
 from ..graphs.graph import WeightedGraph
@@ -123,6 +125,22 @@ class _TimedProvider:
         )
         self._lat_ring.append(per_query)
 
+    def query(self, u: int, v: int) -> float:
+        start = time.perf_counter()
+        out = self._answer(u, v)
+        self._record(1, time.perf_counter() - start)
+        return out
+
+    def query_many(self, pairs) -> np.ndarray:
+        pairs = np.asarray(pairs, dtype=np.int64)
+        if pairs.size == 0:
+            return np.zeros(0)
+        pairs = pairs.reshape(-1, 2)
+        start = time.perf_counter()
+        out = self._answer_many(pairs)
+        self._record(int(pairs.shape[0]), time.perf_counter() - start)
+        return out
+
     def observed_p99_s(self) -> float | None:
         """p99 of recent per-query latencies (per-call means), or ``None``
         before the first routed call."""
@@ -158,11 +176,10 @@ class RowProvider(_TimedProvider):
 
     ``name="exact"`` serves rows on the input graph (stretch 1);
     ``name="oracle"`` serves rows on a built spanner with the paper's
-    ``2 k^s`` guarantee.  Row planning is the shared
-    :func:`~repro.core.cache.answer_pairs_cached` discipline: pairs group
-    by source, missing sources go to *one* ``batched_sssp`` dispatch, and
-    rows land in a bounded LRU.  ``solve_rows`` lets a serving engine
-    substitute its sharded solver for the default in-process one.
+    ``2 k^s`` guarantee.  Answering is :class:`~repro.core.cache.CachedRows`
+    (group by source, one batched solve for the missing sources, rows in a
+    bounded LRU); ``solve_rows`` lets a serving engine substitute its
+    sharded solver for the default in-process ``batched_sssp``.
     """
 
     def __init__(
@@ -171,7 +188,7 @@ class RowProvider(_TimedProvider):
         graph: WeightedGraph,
         *,
         stretch: float,
-        cache_rows: int = SpannerDistanceOracle.DEFAULT_CACHE_ROWS,
+        cache_rows: int = DEFAULT_CACHE_ROWS,
         solve_rows=None,
     ) -> None:
         super().__init__()
@@ -179,11 +196,11 @@ class RowProvider(_TimedProvider):
         self.graph = graph
         self.n = graph.n
         self._stretch = float(stretch)
-        self.cache = LRURowCache(cache_rows)
-        self._solve_rows = solve_rows or (
-            lambda missing: batched_sssp(self.graph, missing)
+        self.rows = CachedRows(
+            graph.n,
+            solve_rows or (lambda sources: batched_sssp(graph, sources)),
+            cache_rows,
         )
-        self.rows_solved = 0
 
     @property
     def stretch_bound(self) -> float:
@@ -195,47 +212,29 @@ class RowProvider(_TimedProvider):
             "graph_m": self.graph.m,
             "row_cost": "dijkstra over graph_m edges per cold source",
             "query_cost": "O(1) on a cached row",
-            "cache_rows": self.cache.capacity,
+            "cache_rows": self.rows.cache.capacity,
         }
 
-    def _solve(self, missing: np.ndarray) -> np.ndarray:
-        self.rows_solved += int(missing.size)
-        return self._solve_rows(missing)
+    @property
+    def rows_solved(self) -> int:
+        return self.rows.rows_solved
 
     def peek_row(self, source: int):
         """The cached row for ``source`` or ``None`` — never solves, never
         touches recency (the tiered refinement hook)."""
-        return self.cache.peek(source)
+        return self.rows.cache.peek(source)
 
-    def query(self, u: int, v: int) -> float:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError("vertex out of range")
-        start = time.perf_counter()
-        row = self.cache.get(u)
-        if row is None:
-            row = self._solve(np.asarray([u], dtype=np.int64))[0].copy()
-            self.cache.put(u, row)
-        out = float(row[v])
-        self._record(1, time.perf_counter() - start)
-        return out
+    def _answer(self, u: int, v: int) -> float:
+        return self.rows.query(u, v)
 
-    def query_many(self, pairs) -> np.ndarray:
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.size == 0:
-            return np.zeros(0)
-        pairs = pairs.reshape(-1, 2)
-        if pairs.min() < 0 or pairs.max() >= self.n:
-            raise ValueError("vertex out of range")
-        start = time.perf_counter()
-        out = answer_pairs_cached(self.cache, pairs, self._solve)
-        self._record(int(pairs.shape[0]), time.perf_counter() - start)
-        return out
+    def _answer_many(self, pairs: np.ndarray) -> np.ndarray:
+        return self.rows.query_many(pairs)
 
     def stats(self) -> dict:
         return {
             **super().stats(),
             "rows_solved": self.rows_solved,
-            "cache": self.cache.stats(),
+            "cache": self.rows.cache.stats(),
         }
 
 
@@ -267,21 +266,11 @@ class SketchProvider(_TimedProvider):
             "row_cost": "none",
         }
 
-    def query(self, u: int, v: int) -> float:
-        start = time.perf_counter()
-        out = self.sketch.query(u, v)
-        self._record(1, time.perf_counter() - start)
-        return out
+    def _answer(self, u: int, v: int) -> float:
+        return self.sketch.query(u, v)
 
-    def query_many(self, pairs) -> np.ndarray:
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.size == 0:
-            return np.zeros(0)
-        pairs = pairs.reshape(-1, 2)
-        start = time.perf_counter()
-        out = self.sketch.query_many(pairs)
-        self._record(int(pairs.shape[0]), time.perf_counter() - start)
-        return out
+    def _answer_many(self, pairs: np.ndarray) -> np.ndarray:
+        return self.sketch.query_many(pairs)
 
 
 class TieredProvider(_TimedProvider):
@@ -317,8 +306,7 @@ class TieredProvider(_TimedProvider):
             "row_cost": "none (hot rows only)",
         }
 
-    def query(self, u: int, v: int) -> float:
-        start = time.perf_counter()
+    def _answer(self, u: int, v: int) -> float:
         out = self.sketch_provider.sketch.query(u, v)
         row = self.refiner.peek_row(u)
         if row is not None:
@@ -326,26 +314,18 @@ class TieredProvider(_TimedProvider):
             if refined < out:
                 out = refined
                 self.refined += 1
-        self._record(1, time.perf_counter() - start)
         return out
 
-    def query_many(self, pairs) -> np.ndarray:
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.size == 0:
-            return np.zeros(0)
-        pairs = pairs.reshape(-1, 2)
-        start = time.perf_counter()
+    def _answer_many(self, pairs: np.ndarray) -> np.ndarray:
         out = self.sketch_provider.sketch.query_many(pairs)
-        for s in np.unique(pairs[:, 0]).tolist():
+        for s, idx in zip(*group_by_source(pairs)):
             row = self.refiner.peek_row(s)
             if row is None:
                 continue
-            idx = np.flatnonzero(pairs[:, 0] == s)
             refined = np.asarray(row)[pairs[idx, 1]]
             better = refined < out[idx]
             self.refined += int(better.sum())
             out[idx] = np.minimum(out[idx], refined)
-        self._record(int(pairs.shape[0]), time.perf_counter() - start)
         return out
 
 
@@ -460,12 +440,16 @@ class PlannedProvider(_TimedProvider):
             # SLO unreachable: degrade to the fastest answer we can give.
         return min(candidates, key=lambda p: p.ewma_s).name
 
-    def query(self, u: int, v: int, *, backend: str | None = None) -> float:
+    def _route(self, backend: str | None) -> str:
         name = backend or self.choose()
         if name not in self.providers:
             raise ValueError(
                 f"unknown backend {name!r} (have: {', '.join(sorted(self.providers))})"
             )
+        return name
+
+    def query(self, u: int, v: int, *, backend: str | None = None) -> float:
+        name = self._route(backend)
         start = time.perf_counter()
         out = self.providers[name].query(u, v)
         self.routed[name] += 1
@@ -477,11 +461,7 @@ class PlannedProvider(_TimedProvider):
         if pairs.size == 0:
             return np.zeros(0)
         pairs = pairs.reshape(-1, 2)
-        name = backend or self.choose()
-        if name not in self.providers:
-            raise ValueError(
-                f"unknown backend {name!r} (have: {', '.join(sorted(self.providers))})"
-            )
+        name = self._route(backend)
         start = time.perf_counter()
         out = self.providers[name].query_many(pairs)
         self.routed[name] += int(pairs.shape[0])
@@ -529,7 +509,7 @@ class ProviderBundle:
 def build_providers(
     bundle: ProviderBundle,
     *,
-    cache_rows: int = SpannerDistanceOracle.DEFAULT_CACHE_ROWS,
+    cache_rows: int = DEFAULT_CACHE_ROWS,
     oracle_solve_rows=None,
 ) -> dict:
     """The provider set a :class:`ProviderBundle` serves.

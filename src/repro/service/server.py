@@ -53,7 +53,10 @@ planner routing stats.
 Disconnected pairs answer ``{"d": null}`` (JSON has no ``Infinity``).
 Malformed lines never kill the connection: they get
 ``{"error": ..., "line": N}`` replies, with ``N`` the 1-based line number
-on that connection.
+on that connection; a line over ``LINE_LIMIT`` bytes gets one and then a
+closed connection.  If the engine raises while solving a batch, each of
+its requests gets an ``{"id": ..., "error": ...}`` reply, counted in
+``failed``, and the server keeps serving.
 
 The legacy ``repro serve`` stdin/stdout pipe mode shares
 :func:`serve_pipe`, which applies the same malformed-line hardening.
@@ -63,6 +66,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import math
 import time
 from collections import deque
@@ -80,6 +84,11 @@ __all__ = [
     "parse_hostport",
     "latency_summary",
 ]
+
+_log = logging.getLogger(__name__)
+
+#: Longest request line (bytes) a connection may send.
+LINE_LIMIT = 2**16
 
 
 def latency_summary(latencies_s) -> dict:
@@ -207,6 +216,7 @@ class QueryServer:
         self.served = 0
         self.rejected = 0
         self.protocol_errors = 0
+        self.failed = 0
         self.batches_flushed = 0
         self.latencies_s: list[float] = []
         self.batch_size_hist: dict[int, int] = {}
@@ -218,7 +228,9 @@ class QueryServer:
     async def start(self) -> None:
         """Bind and start accepting connections."""
         self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
+        self._server = await asyncio.start_server(
+            self._handle, self.host, self.port, limit=LINE_LIMIT
+        )
         self.port = self._server.sockets[0].getsockname()[1]
         self._t0 = time.perf_counter()
 
@@ -268,6 +280,7 @@ class QueryServer:
         self.served = 0
         self.rejected = 0
         self.protocol_errors = 0
+        self.failed = 0
         self.batches_flushed = 0
         self.latencies_s = []
         self.batch_size_hist = {}
@@ -285,6 +298,7 @@ class QueryServer:
             "served": self.served,
             "rejected": self.rejected,
             "protocol_errors": self.protocol_errors,
+            "failed": self.failed,
             "batches_flushed": self.batches_flushed,
             "pending": len(self._pending),
             "uptime_s": round(uptime, 3),
@@ -311,7 +325,14 @@ class QueryServer:
         lineno = 0
         try:
             while True:
-                raw = await reader.readline()
+                try:
+                    raw = await reader.readline()
+                except ValueError:  # the line overran LINE_LIMIT
+                    await self._reply_error(
+                        writer, None, lineno + 1,
+                        f"request line longer than {LINE_LIMIT} bytes",
+                    )
+                    break
                 if not raw:
                     break
                 lineno += 1
@@ -440,28 +461,31 @@ class QueryServer:
                     pairs = np.array([(r.u, r.v) for r in group], dtype=np.int64)
                     # Pass the backend kwarg only when pinned, so engine
                     # wrappers unaware of multi-backend routing keep working.
-                    call = (
-                        partial(self.engine.query_many, pairs)
-                        if backend is None
-                        else partial(self.engine.query_many, pairs, backend=backend)
-                    )
-                    answers = await self._loop.run_in_executor(self._exec, call)
-                    self._deliver(group, answers, backend=backend)
+                    pin = {} if backend is None else {"backend": backend}
+                    call = partial(self.engine.query_many, pairs, **pin)
+                    await self._solve(group, call, backend)
             else:
                 # The naive duel baseline: one engine.query dispatch and
                 # one write+drain per request, strictly serialized.
                 req = self._pending.popleft()
-                call = (
-                    partial(self.engine.query, req.u, req.v)
-                    if req.backend is None
-                    else partial(
-                        self.engine.query, req.u, req.v, backend=req.backend
-                    )
-                )
-                d = await self._loop.run_in_executor(self._exec, call)
-                self._deliver([req], [d], backend=req.backend)
+                pin = {} if req.backend is None else {"backend": req.backend}
+                query = partial(self.engine.query, req.u, req.v, **pin)
+                await self._solve([req], lambda: [query()], req.backend)
                 await self._drain_writer(req.writer)
         self._flush_task = None
+
+    async def _solve(self, batch: list[_Request], call, backend: str | None) -> None:
+        """Run one engine call in the solver thread and reply to ``batch``:
+        answers on success, one error reply per request if it raised."""
+        try:
+            answers = await self._loop.run_in_executor(self._exec, call)
+        except Exception as exc:  # a failed solve must not lose its batch
+            _log.exception("solve failed; replying with errors to %d requests", len(batch))
+            self.failed += len(batch)
+            error = f"solve failed: {type(exc).__name__}: {exc}"
+            self._send(batch, [_encode({"id": r.rid, "error": error}) for r in batch])
+        else:
+            self._deliver(batch, answers, backend=backend)
 
     def _deliver(
         self, batch: list[_Request], answers, *, backend: str | None = None
@@ -471,16 +495,22 @@ class QueryServer:
         self.batch_size_hist[len(batch)] = self.batch_size_hist.get(len(batch), 0) + 1
         label = backend or "auto"
         self.backend_served[label] = self.backend_served.get(label, 0) + len(batch)
-        by_writer: dict[asyncio.StreamWriter, list[bytes]] = {}
+        lines = []
         for req, d in zip(batch, answers):
             d = float(d)
-            payload = {"id": req.rid, "d": d if math.isfinite(d) else None}
-            by_writer.setdefault(req.writer, []).append(_encode(payload))
+            lines.append(_encode({"id": req.rid, "d": d if math.isfinite(d) else None}))
             self.latencies_s.append(now - req.t0)
         self.served += len(batch)
-        for writer, lines in by_writer.items():
+        self._send(batch, lines)
+
+    def _send(self, batch: list[_Request], lines: list[bytes]) -> None:
+        """Write one reply line per request, coalesced per connection."""
+        by_writer: dict[asyncio.StreamWriter, list[bytes]] = {}
+        for req, line in zip(batch, lines):
+            by_writer.setdefault(req.writer, []).append(line)
+        for writer, chunk in by_writer.items():
             if not writer.is_closing():
-                writer.write(b"".join(lines))
+                writer.write(b"".join(chunk))
         if self.micro_batch:
             for writer in by_writer:
                 if not writer.is_closing():

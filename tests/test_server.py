@@ -67,6 +67,23 @@ class SlowEngine:
         return getattr(self._inner, name)
 
 
+class FailOnceEngine:
+    """Delegating engine wrapper whose first ``query_many`` raises."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = 0
+
+    def query_many(self, pairs, **kwargs):
+        self.calls += 1
+        if self.calls == 1:
+            raise RuntimeError("injected solver failure")
+        return self._inner.query_many(pairs, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
 async def _burst(server, payloads):
     """One connection, pipelined sends; returns replies in send order."""
     cli = await AsyncClient.connect(server.host, server.port)
@@ -289,6 +306,60 @@ class TestProtocol:
             QueryServer(engine, max_pending=0)
         with pytest.raises(ValueError):
             QueryServer(engine, window_s=-1.0)
+
+
+class TestFailureReplies:
+    def test_failed_solve_replies_to_each_request(self, oracle):
+        """A solve that raises answers every request of its batch with one
+        error reply, counts them, and the next request is served."""
+
+        async def run():
+            engine = FailOnceEngine(QueryEngine(oracle))
+            async with QueryServer(engine, max_batch=4, window_s=0.5) as server:
+                cli = await AsyncClient.connect(server.host, server.port)
+                futs = [cli.send({"op": "query", "u": u, "v": 5}) for u in range(4)]
+                failed = await asyncio.wait_for(asyncio.gather(*futs), 5)
+                after = await asyncio.wait_for(cli.query(0, 5), 5)
+                stats = await cli.stats()
+                await asyncio.sleep(0.01)  # let any duplicate reply land
+                unmatched = list(cli.unmatched)
+                await cli.close()
+                return failed, after, stats, unmatched
+
+        failed, after, stats, unmatched = asyncio.run(run())
+        assert [msg["id"] for msg, _ in failed] == [0, 1, 2, 3]
+        assert all("injected solver failure" in msg["error"] for msg, _ in failed)
+        assert unmatched == []  # exactly one reply per request
+        assert after == oracle.query(0, 5)
+        assert stats["failed"] == 4
+        assert stats["served"] == 1
+
+    def test_oversized_line_gets_error_then_close(self, oracle, caplog):
+        """A line over the reader limit gets a protocol error and a clean
+        close; the server logs no traceback and keeps serving."""
+
+        async def run():
+            async with QueryServer(QueryEngine(oracle), window_s=0.001) as server:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(b'{"op": "ping", "pad": "' + b"x" * 70 * 1024 + b'"}\n')
+                await writer.drain()
+                reply = await asyncio.wait_for(reader.readline(), 5)
+                try:
+                    tail = await asyncio.wait_for(reader.read(), 5)
+                except ConnectionResetError:
+                    tail = b""
+                writer.close()
+                cli = await AsyncClient.connect(server.host, server.port)
+                good = await cli.query(0, 5)
+                await cli.close()
+                return json.loads(reply), tail, good, server.protocol_errors
+
+        reply, tail, good, perrs = asyncio.run(run())
+        assert "longer than" in reply["error"] and reply["line"] == 1
+        assert tail == b""  # the server closed the connection
+        assert good == oracle.query(0, 5)
+        assert perrs == 1
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
 
 
 class TestDrain:

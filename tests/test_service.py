@@ -237,6 +237,57 @@ class TestQueryEngine:
         call = engine.call_log[0]
         assert call["pairs"] == 100 and call["wall_s"] >= call["solve_s"] >= 0
 
+    @pytest.mark.parametrize(
+        "kind, label",
+        [
+            ("graph", "rows"),
+            ("oracle", "rows"),
+            ("sketch", "sketch"),
+            ("bundle", "planned"),
+        ],
+    )
+    def test_stats_contract_every_backend(self, kind, label, g, oracle, sketch, pairs):
+        """Every backend serves through the same planned path and reports
+        the stats keys the serving benchmark reads."""
+        from repro.service import PlanTarget, ProviderBundle
+
+        target = None
+        if kind == "graph":
+            backend = oracle.spanner
+        elif kind == "oracle":
+            backend = oracle
+        elif kind == "sketch":
+            backend = sketch
+        else:
+            backend = ProviderBundle(
+                graph=g, spanner=oracle.spanner, k=oracle.k, t=oracle.t,
+                t_effective=oracle.t_effective, sketch=sketch,
+            )
+            target = PlanTarget(backend="oracle")
+        engine = QueryEngine(backend, cache_rows=64, target=target)
+        engine.query_many(pairs[:100])
+        engine.query_many(pairs[100:250])
+        if kind == "bundle":
+            pinned = engine.query_many(pairs[:10], backend="sketch")
+            assert np.array_equal(pinned, sketch.query_many(pairs[:10]))
+        else:
+            with pytest.raises(ValueError, match="single fixed backend"):
+                engine.query_many(pairs[:10], backend="sketch")
+        stats = engine.stats()
+        assert stats["backend"] == label
+        assert ("planner" in stats) == (kind == "bundle")
+        assert stats["batches"] == (3 if kind == "bundle" else 2)
+        assert stats["queries_served"] == (260 if kind == "bundle" else 250)
+        assert stats["timing"]["query_many_wall_s"] > 0
+        assert stats["timing"]["solve_wall_s"] >= 0
+        cache = stats["cache"]
+        if kind == "sketch":
+            assert stats["rows_solved"] == 0 and cache["hits"] + cache["misses"] == 0
+        else:
+            assert stats["rows_solved"] == cache["misses"] > 0
+            assert stats["timing"]["solve_wall_s"] > 0
+        json.dumps(stats)  # JSON-ready
+
     def test_lru_bound_respected(self, oracle, pairs):
         engine = QueryEngine(oracle, cache_rows=4)
         engine.query_many(pairs)
