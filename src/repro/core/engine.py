@@ -19,10 +19,17 @@ and returns the surviving clustering, the edges added to the spanner
 original input graph), and per-iteration instrumentation.
 
 Vectorization strategy (this is the hot loop of the whole library): the
-per-super-node/per-neighboring-cluster grouping is done with one
-``np.lexsort`` over directed arcs per iteration, after which group minima,
-per-node choices and group discards are all segment operations — no Python
-loop over nodes or edges.  This mirrors the paper's own MPC implementation
+per-super-node/per-neighboring-cluster grouping is one sort of the directed
+arcs per iteration, after which group minima, per-node choices and group
+discards are all segment operations — no Python loop over nodes or edges.
+The arcs order by ``(tail, head cluster, w, eid)``.  The ``(w, eid)`` pair
+is replaced by one integer weight rank, computed once per call as each
+record's position in ``np.lexsort((eid, w))`` (eids are unique per record,
+so the two orders agree).  The key is then all integers, and
+:func:`~repro.graphs.graph.lex_order` packs it into one int64 and sorts it
+with a single stable ``argsort`` — exactly the ``np.lexsort`` permutation,
+several times faster.  Weights and eids are gathered back only for the
+group leaders.  This mirrors the paper's own MPC implementation
 (Section 6), which performs the same grouping with a distributed sort.
 """
 
@@ -32,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..graphs.graph import _weight_rank, lex_order
 from .results import IterationStats
 
 __all__ = ["EdgeSet", "GrowthOutcome", "run_growth_iterations", "phase2_edges"]
@@ -196,6 +204,13 @@ def run_growth_iterations(
     spanner: list[np.ndarray] = []
     stats: list[IterationStats] = []
 
+    # Integer weight rank of the records alive at entry (records only die
+    # during the call, so later arcs index ranked positions only): ordering
+    # by it equals ordering by ``(w, eid)``.
+    rank = np.zeros(edges.eid.size, dtype=np.int64)
+    start = np.flatnonzero(edges.alive)
+    rank[start] = _weight_rank(edges.w[start], edges.eid[start])
+
     for j in range(1, iterations + 1):
         p = probability(j) if callable(probability) else float(probability)
         if not 0.0 <= p <= 1.0:
@@ -215,7 +230,6 @@ def run_growth_iterations(
         node_sampled = active & sampled_flag[np.where(labels >= 0, labels, 0)]
         processing = active & ~node_sampled
 
-        eu, ev, ew, eeid = edges.alive_view()
         edge_pos = np.flatnonzero(edges.alive)
 
         added_this_iter: list[np.ndarray] = []
@@ -226,49 +240,35 @@ def run_growth_iterations(
         join_edge_per_node = np.full(n, -1, dtype=np.int64)  # provenance id
         join_cluster_per_node = np.full(n, -1, dtype=np.int64)
 
-        if eu.size:
+        if edge_pos.size:
             # --- Build directed arcs with processing tails ----------------
+            eu, ev = edges.u[edge_pos], edges.v[edge_pos]
             tails = np.concatenate([eu, ev])
             heads = np.concatenate([ev, eu])
-            aw = np.concatenate([ew, ew])
-            aeid = np.concatenate([eeid, eeid])
             apos = np.concatenate([edge_pos, edge_pos])
             keep = processing[tails]
-            tails, heads, aw, aeid, apos = (
-                tails[keep],
-                heads[keep],
-                aw[keep],
-                aeid[keep],
-                apos[keep],
-            )
+            tails, heads, apos = tails[keep], heads[keep], apos[keep]
         else:
             tails = np.zeros(0, dtype=np.int64)
 
         if tails.size:
             hc = labels[heads]  # head's cluster (>= 0: invariant)
-            order = np.lexsort((aeid, aw, hc, tails))
-            tails_s, hc_s, aw_s, aeid_s, apos_s = (
-                tails[order],
-                hc[order],
-                aw[order],
-                aeid[order],
-                apos[order],
-            )
+            order = lex_order([tails, hc, rank[apos]])
+            tails_s, hc_s, apos_s = tails[order], hc[order], apos[order]
             lead = _group_leaders(order, tails_s, hc_s)
             lead_idx = np.flatnonzero(lead)
             # Per-(tail, cluster) group leader data:
             gt = tails_s[lead_idx]
             gc = hc_s[lead_idx]
-            gw = aw_s[lead_idx]
-            geid = aeid_s[lead_idx]
-            g_start = lead_idx
-            g_end = np.append(lead_idx[1:], tails_s.size)
+            gpos = apos_s[lead_idx]
+            gw = edges.w[gpos]
+            geid = edges.eid[gpos]
             g_sampled = sampled_flag[gc]
 
             # --- Choose the join target per tail ---------------------------
             # Sort group leaders by (tail, unsampled-last, weight, eid);
             # the first leader of each tail then tells the node's fate.
-            gorder = np.lexsort((geid, gw, ~g_sampled, gt))
+            gorder = lex_order([gt, ~g_sampled, rank[gpos]])
             gt_o = gt[gorder]
             first = np.ones(gt_o.size, dtype=bool)
             first[1:] = gt_o[1:] != gt_o[:-1]
@@ -376,14 +376,15 @@ def phase2_edges(edges: EdgeSet, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     tails = np.concatenate([eu, ev])
     heads = np.concatenate([ev, eu])
-    aw = np.concatenate([ew, ew])
+    rank = _weight_rank(ew, eeid)
+    arank = np.concatenate([rank, rank])
     aeid = np.concatenate([eeid, eeid])
     hc = labels[heads]
     if (hc < 0).any():
         raise AssertionError(
             "alive edge endpoint outside any final cluster — Lemma 5.6 violated"
         )
-    order = np.lexsort((aeid, aw, hc, tails))
+    order = lex_order([tails, hc, arank])
     t_s, c_s = tails[order], hc[order]
     lead = _group_leaders(order, t_s, c_s)
     chosen = aeid[order][lead]

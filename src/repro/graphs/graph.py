@@ -31,6 +31,7 @@ __all__ = [
     "WeightedGraph",
     "canonical_edges",
     "dedupe_edges",
+    "lex_order",
     "lockstep_run_lookup",
     "sorted_lookup",
     "sorted_pair_lookup",
@@ -79,6 +80,53 @@ def sorted_lookup(haystack: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, n
     pos = np.searchsorted(haystack, keys)
     clipped = np.minimum(pos, haystack.size - 1)
     return (pos < haystack.size) & (haystack[clipped] == keys), clipped
+
+
+def lex_order(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """The stable lexicographic sort permutation of ``keys`` (major key
+    first) — exactly ``np.lexsort(keys[::-1])``.
+
+    When every key is an integer or bool array and the product of the
+    ``(max - min + 1)`` spans is below ``2**63``, the keys are packed into
+    one int64 (mixed radix, built in place) and ordered by a single stable
+    ``argsort``, which is several times faster than a multi-key lexsort.
+    Ties keep their input order in both paths.
+    """
+    keys = [np.asarray(k) for k in keys]
+    if keys[0].size == 0:
+        return np.zeros(0, dtype=np.int64)
+    spans: list[tuple[int, int]] = []
+    total = 1
+    for k in keys:
+        if k.dtype.kind not in "biu" or k.dtype == np.uint64:
+            return np.lexsort(keys[::-1])
+        lo, hi = int(k.min()), int(k.max())
+        total *= hi - lo + 1
+        spans.append((lo, hi - lo + 1))
+    if total >= 2**63:
+        return np.lexsort(keys[::-1])
+    packed = np.zeros(keys[0].size, dtype=np.int64)
+    for k, (lo, span) in zip(keys, spans):
+        # Wrapping int64 arithmetic: intermediates may overflow, the final
+        # mixed-radix value lies in [0, total) and is exact.
+        np.multiply(packed, np.int64(span), out=packed)
+        np.add(packed, k, out=packed)
+        np.subtract(packed, np.int64(lo), out=packed)
+    return np.argsort(packed, kind="stable")
+
+
+def _weight_rank(w: np.ndarray, eid: np.ndarray) -> np.ndarray:
+    """Each record's position in ``np.lexsort((eid, w))``.
+
+    With ``eid`` unique per record, ordering by this one integer equals
+    ordering by the ``(w, eid)`` pair, so it replaces the two float
+    tie-break keys of a sort and keeps the whole key packable by
+    :func:`lex_order`.
+    """
+    order = np.lexsort((eid, w))
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size, dtype=np.int64)
+    return rank
 
 
 def sorted_pair_lookup(

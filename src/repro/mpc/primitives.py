@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..graphs.graph import lex_order, sorted_lookup
 from .simulator import DistributedTable, MPCSimulator
 
 __all__ = [
@@ -34,10 +35,14 @@ def sort_table(table: DistributedTable, keys: list[str], *, context: str = "sort
     """Sort records lexicographically by ``keys`` (first key major).
 
     Charges one ``sort`` primitive. Ties are broken by the later keys, then
-    stably by current position, so results are deterministic.
+    stably by current position, so results are deterministic.  The order is
+    computed by :func:`~repro.graphs.graph.lex_order`: integer keys are
+    packed into one int64 and sorted once (the exact ``np.lexsort``
+    permutation); float keys fall back to ``np.lexsort``.  Callers that
+    would tie-break on ``(w, eid)`` key on a precomputed integer weight
+    rank instead, so the whole key stays packable.
     """
-    arrays = [table[k] for k in reversed(keys)]
-    order = np.lexsort(arrays) if arrays else np.arange(len(table))
+    order = lex_order([table[k] for k in keys]) if keys else np.arange(len(table))
     out = table.repartition_by_order(order, context=context)
     table.sim.charge(
         "sort",
@@ -152,20 +157,35 @@ def join_lookup(
     lookup side is itself a distributed table of (key, value) tuples; we
     pass it as arrays for convenience).
 
+    Records whose key is missing from ``lookup_keys`` (including the retired
+    label ``-1``) get ``default``; a repeated lookup key matches its first
+    occurrence.  The lookup keys in this repo are node or cluster ids in
+    ``[0, n)``, so the match is one gather from a dense key -> position
+    index; keys that are negative or sparser than both sides together fall
+    back to a stable sort plus binary search.  Either way the output equals
+    the merge-join's.
+
     Charges one ``join`` (both sides are sorted by key and co-partitioned).
     """
     lookup_keys = np.asarray(lookup_keys, dtype=np.int64)
     lookup_values = np.asarray(lookup_values)
-    order = np.argsort(lookup_keys, kind="stable")
-    lk, lv = lookup_keys[order], lookup_values[order]
     keys = np.asarray(table[key_col], dtype=np.int64)
-    pos = np.searchsorted(lk, keys)
-    pos = np.clip(pos, 0, max(lk.size - 1, 0))
-    if lk.size:
-        hit = lk[pos] == keys
-        vals = np.where(hit, lv[pos], default)
-    else:
+    if lookup_keys.size == 0:
         vals = np.full(keys.size, default, dtype=lookup_values.dtype if lookup_values.size else np.int64)
+    else:
+        hi = int(lookup_keys.max())
+        if lookup_keys.min() >= 0 and hi < lookup_keys.size + keys.size:
+            # Reversed scatter: the last write wins, i.e. the first occurrence.
+            index = np.full(hi + 1, -1, dtype=np.int64)
+            index[lookup_keys[::-1]] = np.arange(lookup_keys.size - 1, -1, -1)
+            in_range = (keys >= 0) & (keys <= hi)
+            pos = index[np.where(in_range, keys, 0)]
+            hit = in_range & (pos >= 0)
+        else:
+            order = np.argsort(lookup_keys, kind="stable")
+            hit, at = sorted_lookup(lookup_keys[order], keys)
+            pos = order[at]
+        vals = np.where(hit, lookup_values[pos], default)
     out = table.with_columns(**{dest_col: vals})
     table.sim.charge("join", records_moved=len(table), max_machine_load=0)
     return out

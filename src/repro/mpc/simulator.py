@@ -135,10 +135,8 @@ class DistributedTable:
         return max(1, self.sim.config.machine_memory // self.words_per_record)
 
     def machine_loads(self) -> np.ndarray:
-        loads = np.zeros(self.sim.config.num_machines, dtype=np.int64)
-        if self.num_records:
-            np.add.at(loads, self.machine_of, self.words_per_record)
-        return loads
+        counts = np.bincount(self.machine_of, minlength=self.sim.config.num_machines)
+        return counts.astype(np.int64, copy=False) * self.words_per_record
 
     def _validate_load(self, context: str) -> None:
         self.sim.check_load(self.machine_loads(), context=context)
@@ -200,9 +198,6 @@ class DistributedTable:
         )
         # Communication volume: a record whose machine changes is "sent".
         moved = int((self.machine_of[order] != out.machine_of).sum())
-        recv = np.zeros(self.sim.config.num_machines, dtype=np.int64)
-        if self.num_records:
-            np.add.at(recv, out.machine_of, self.words_per_record)
-        self.sim.check_load(recv, context=f"{context}: receive volume")
+        self.sim.check_load(out.machine_loads(), context=f"{context}: receive volume")
         out._last_moved = moved  # type: ignore[attr-defined]
         return out

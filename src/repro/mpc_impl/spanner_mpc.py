@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core.params import coerce_rng, num_epochs, sampling_probability
 from ..core.results import IterationStats, MPCRunStats, RoundStats, SpannerResult
-from ..graphs.graph import WeightedGraph
+from ..graphs.graph import WeightedGraph, _weight_rank
 from ..mpc.config import MPCConfig
 from ..mpc.primitives import join_lookup, sort_table
 from ..mpc.simulator import DistributedTable, MPCSimulator
@@ -105,7 +105,10 @@ def spanner_mpc(
         return res
 
     # Distributed state: node table (super-node -> cluster label) and edge
-    # table over current super-node ids with provenance eids.
+    # table over current super-node ids with provenance eids.  Records carry
+    # the integer weight rank in place of ``w`` (ordering by it equals
+    # ordering by ``(w, eid)``); ``w`` is read back as ``g.edges_w[eid]``
+    # where a weight is compared.
     nodes = DistributedTable(
         sim,
         {"node": np.arange(n, dtype=np.int64), "label": np.arange(n, dtype=np.int64)},
@@ -116,7 +119,7 @@ def spanner_mpc(
         {
             "u": g.edges_u.copy(),
             "v": g.edges_v.copy(),
-            "w": g.edges_w.copy(),
+            "rank": _weight_rank(g.edges_w, np.arange(g.m, dtype=np.int64)),
             "eid": np.arange(g.m, dtype=np.int64),
         },
         words_per_record=12,
@@ -158,7 +161,7 @@ def spanner_mpc(
 
             # --- build arcs with processing tails (local map) ---------------
             eu, ev = edges["u"], edges["v"]
-            ew, eeid = edges["w"], edges["eid"]
+            erank, eeid = edges["rank"], edges["eid"]
             lu, lv = edges["lu"], edges["lv"]
             su, sv = edges["su"].astype(bool), edges["sv"].astype(bool)
             row = np.arange(len(edges), dtype=np.int64)
@@ -166,7 +169,7 @@ def spanner_mpc(
             heads_lab = np.concatenate([lv, lu])
             tail_lab = np.concatenate([lu, lv])
             tail_samp = np.concatenate([su, sv])
-            aw = np.concatenate([ew, ew])
+            arank = np.concatenate([erank, erank])
             aeid = np.concatenate([eeid, eeid])
             arow = np.concatenate([row, row])
             proc = (tail_lab >= 0) & ~tail_samp
@@ -175,7 +178,7 @@ def spanner_mpc(
                 {
                     "tail": tails[proc],
                     "hc": heads_lab[proc],
-                    "w": aw[proc],
+                    "rank": arank[proc],
                     "eid": aeid[proc],
                     "row": arow[proc],
                 },
@@ -188,12 +191,12 @@ def spanner_mpc(
             num_added = 0
             if len(arcs):
                 # --- group minima per (tail, head-cluster): Find-Minimum ----
-                arcs = sort_table(arcs, ["tail", "hc", "w", "eid"], context="group-min")
+                arcs = sort_table(arcs, ["tail", "hc", "rank"], context="group-min")
                 a_tail, a_hc = arcs["tail"], arcs["hc"]
                 lead = _leaders(a_tail, a_hc)
                 lidx = np.flatnonzero(lead)
                 gt, gc = a_tail[lidx], a_hc[lidx]
-                gw, geid = arcs["w"][lidx], arcs["eid"][lidx]
+                geid = arcs["eid"][lidx]
                 g_samp = np.isin(gc, sampled_ids)
 
                 groups = DistributedTable(
@@ -201,7 +204,7 @@ def spanner_mpc(
                     {
                         "tail": gt,
                         "hc": gc,
-                        "w": gw,
+                        "rank": arcs["rank"][lidx],
                         "eid": geid,
                         "unsampled": (~g_samp).astype(np.int64),
                         "gidx": np.arange(gt.size, dtype=np.int64),
@@ -210,23 +213,23 @@ def spanner_mpc(
                 )
                 # --- per-tail closest sampled cluster: Find-Minimum ---------
                 groups = sort_table(
-                    groups, ["tail", "unsampled", "w", "eid"], context="choose-join"
+                    groups, ["tail", "unsampled", "rank"], context="choose-join"
                 )
                 b_tail = groups["tail"]
                 first = _leaders(b_tail)
-                f = {c: groups[c][first] for c in ("tail", "hc", "w", "eid", "unsampled", "gidx")}
+                f = {c: groups[c][first] for c in ("tail", "hc", "eid", "unsampled", "gidx")}
                 joiner = f["unsampled"] == 0
 
                 join_pairs_node = f["tail"][joiner]
                 join_pairs_label = f["hc"][joiner]
                 join_w = np.full(n, np.inf)
-                join_w[join_pairs_node] = f["w"][joiner]
+                join_w[join_pairs_node] = g.edges_w[f["eid"][joiner]]
 
                 # --- decide group actions (broadcast join weight: join) -----
                 sim.charge("segment_broadcast", records_moved=int(gt.size))
                 g_is_join = np.zeros(gt.size, dtype=bool)
                 g_is_join[f["gidx"][joiner]] = True
-                g_connect = (~g_is_join) & (gw < join_w[gt])
+                g_connect = (~g_is_join) & (g.edges_w[geid] < join_w[gt])
                 g_discard = g_connect | g_is_join
                 added = np.concatenate([geid[g_connect], f["eid"][joiner]])
                 spanner_parts.append(added)
@@ -296,7 +299,7 @@ def spanner_mpc(
         lo = np.minimum(cu, cv)
         hi = np.maximum(cu, cv)
         edges = edges.with_columns(u=lo, v=hi)
-        edges = sort_table(edges, ["u", "v", "w", "eid"], context="contract-dedup")
+        edges = sort_table(edges, ["u", "v", "rank"], context="contract-dedup")
         lead = _leaders(edges["u"], edges["v"])
         edges = edges.select(lead, context="contract-keep-min")
         # New super-node table (identity labels).

@@ -636,8 +636,8 @@ def run_server(
             max_pending=max_pending,
         )
         await server.start()
-        if announce is not None:
-            announce(server.host, server.port)
+        # Handlers go in before the announce: a signal sent as soon as the
+        # address is known must still drain and report final stats.
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -645,6 +645,8 @@ def run_server(
                 loop.add_signal_handler(sig, stop.set)
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass
+        if announce is not None:
+            announce(server.host, server.port)
         await stop.wait()
         stats = server.stats()  # pre-drain snapshot keeps qps meaningful
         await server.aclose()

@@ -156,6 +156,50 @@ class TestPrimitives:
         out = join_lookup(t, "k", np.zeros(0, dtype=np.int64), np.zeros(0), "val", default=7)
         assert out["val"].tolist() == [7, 7]
 
+    def test_join_lookup_missing_and_negative_keys_get_default(self, sim):
+        t = DistributedTable(sim, {"k": np.array([-1, 4, 2, 100, -7, 0])}, words_per_record=2)
+        out = join_lookup(t, "k", np.array([0, 2, 3]), np.array([10, 20, 30]), "val", default=-5)
+        assert out["val"].tolist() == [-5, -5, 20, -5, -5, 10]
+
+    def test_join_lookup_duplicate_key_first_occurrence_wins(self, sim):
+        t = DistributedTable(sim, {"k": np.array([1, 2, 1, 3])}, words_per_record=2)
+        # Dense keys and sparse keys (the binary-search path) agree.
+        for base in (0, 10**9):
+            keys = np.array([2, 1, 1, 2]) + base
+            tt = t.with_columns(k=t["k"] + base)
+            out = join_lookup(tt, "k", keys, np.array([7, 8, 9, 6]), "val")
+            assert out["val"].tolist() == [8, 7, 8, -1]
+
+    @pytest.mark.parametrize(
+        "values, default, dtype",
+        [
+            (np.array([1, 2], dtype=np.int64), -1, np.int64),
+            (np.array([1, 2], dtype=np.int32), -1, np.int32),
+            (np.array([0.5, 1.5]), -1, np.float64),
+            (np.array([1, 0], dtype=np.int64), 0, np.int64),
+            (np.array([True, False]), False, np.bool_),
+        ],
+    )
+    def test_join_lookup_output_dtype(self, sim, values, default, dtype):
+        t = DistributedTable(sim, {"k": np.array([3, 8, 4])}, words_per_record=2)
+        for keys in (np.array([3, 4]), np.array([-3, 4])):
+            tt = t.with_columns(k=np.where(t["k"] == 3, keys[0], t["k"]))
+            out = join_lookup(tt, "k", keys, values, "val", default=default)
+            assert out["val"].dtype == dtype
+            assert out["val"].tolist() == [values[0], default, values[1]]
+
+    def test_join_lookup_matches_merge_join(self, sim):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            lk = rng.integers(-3, rng.integers(1, 40), size=rng.integers(1, 20))
+            lv = rng.integers(0, 100, size=lk.size)
+            keys = rng.integers(-2, 45, size=rng.integers(0, 30))
+            t = DistributedTable(sim, {"k": keys}, words_per_record=2)
+            order = np.argsort(lk, kind="stable")
+            pos = np.clip(np.searchsorted(lk[order], keys), 0, lk.size - 1)
+            want = np.where(lk[order][pos] == keys, lv[order][pos], -1)
+            np.testing.assert_array_equal(join_lookup(t, "k", lk, lv, "val")["val"], want)
+
     def test_round_accounting_accumulates(self, sim):
         t = _table(sim, k=np.arange(20))
         r0 = sim.rounds

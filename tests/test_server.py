@@ -486,6 +486,32 @@ class TestSocketCLI:
         final = json.loads(err.strip().splitlines()[-1])
         assert final["drained"] is True and final["served"] >= 30
 
+    def test_sigterm_right_after_announce_still_drains(self):
+        """A SIGTERM delivered from inside ``announce`` (the earliest moment
+        a caller knows the address) must drain and return final stats, not
+        kill the process by the signal."""
+        script = (
+            "import json, os, signal\n"
+            "from repro.graphs import erdos_renyi\n"
+            "from repro.service import QueryEngine\n"
+            "from repro.service.server import run_server\n"
+            "engine = QueryEngine(erdos_renyi(40, 0.2, weights='uniform', rng=1))\n"
+            "stats = run_server(engine, host='127.0.0.1', port=0,\n"
+            "    announce=lambda h, p: os.kill(os.getpid(), signal.SIGTERM))\n"
+            "print(json.dumps({'drained': stats['drained']}))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO, "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"drained": True}
+
 
 class TestBackendRouting:
     """The ``"backend"`` request field on a bundle-backed server: pinned
